@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -169,43 +168,26 @@ int main() {
       stats.cells_decompressed, stats.cells_decompress_avoided,
       stats.blocks_skipped, stats.cols_decompressed);
 
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR6.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return 1;
+  jb::bench::Json json;
+  json.Str("bench", "compressed_exec")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Int("rows", rows)
+      .Array("sweep");
+  for (const SweepResult& r : sweep) {
+    json.Object()
+        .Str("name", r.name)
+        .Num("decoded_seconds", r.decoded_seconds, 6)
+        .Num("encoded_seconds", r.encoded_seconds, 6)
+        .Num("speedup", r.speedup, 3)
+        .End();
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"compressed_exec\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"rows\": %zu,\n"
-               "  \"sweep\": [\n",
-               jb::bench::Scale(), rows);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"decoded_seconds\": %.6f, "
-                 "\"encoded_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                 sweep[i].name.c_str(), sweep[i].decoded_seconds,
-                 sweep[i].encoded_seconds, sweep[i].speedup,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"counters\": {\n"
-               "    \"engine_queries\": %zu,\n"
-               "    \"cells_decompressed\": %zu,\n"
-               "    \"cells_decompress_avoided\": %zu,\n"
-               "    \"blocks_skipped\": %zu,\n"
-               "    \"cols_decompressed\": %zu\n"
-               "  }\n"
-               "}\n",
-               speedup, sizeof(shapes) / sizeof(shapes[0]),
-               stats.cells_decompressed, stats.cells_decompress_avoided,
-               stats.blocks_skipped, stats.cols_decompressed);
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  json.End()
+      .Num("speedup", speedup, 3)
+      .Object("counters")
+      .Int("engine_queries", sizeof(shapes) / sizeof(shapes[0]))
+      .Counters(stats, {"cells_decompressed", "cells_decompress_avoided",
+                        "blocks_skipped", "cols_decompressed"})
+      .End();
+  if (!json.Save("BENCH_PR6.json")) return 1;
   return 0;
 }

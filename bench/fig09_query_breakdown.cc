@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -48,32 +47,19 @@ Pass RunPass(bool use_planner) {
   return pass;
 }
 
-void EmitPass(std::FILE* f, const char* name, const Pass& p, bool last) {
-  const jb::plan::PlanStats& s = p.stats;
-  std::fprintf(
-      f,
-      "  \"%s\": {\n"
-      "    \"seconds\": %.4f,\n"
-      "    \"message_seconds\": %.4f,\n"
-      "    \"feature_seconds\": %.4f,\n"
-      "    \"update_seconds\": %.4f,\n"
-      "    \"message_queries\": %zu,\n"
-      "    \"feature_queries\": %zu,\n"
-      "    \"queries_planned\": %zu,\n"
-      "    \"rows_scan_input\": %zu,\n"
-      "    \"rows_scan_output\": %zu,\n"
-      "    \"cols_scanned\": %zu,\n"
-      "    \"cols_pruned\": %zu,\n"
-      "    \"cols_decompressed\": %zu,\n"
-      "    \"cells_decompressed\": %zu,\n"
-      "    \"predicates_pushed\": %zu,\n"
-      "    \"joins_reordered\": %zu\n"
-      "  }%s\n",
-      name, p.train.seconds, p.train.message_seconds, p.train.feature_seconds,
-      p.train.update_seconds, p.train.message_queries, p.train.feature_queries,
-      s.queries_planned, s.rows_scan_input, s.rows_scan_output, s.cols_scanned,
-      s.cols_pruned, s.cols_decompressed, s.cells_decompressed,
-      s.predicates_pushed, s.joins_reordered, last ? "" : ",");
+void EmitPass(jb::bench::Json& json, const char* name, const Pass& p) {
+  json.Object(name)
+      .Num("seconds", p.train.seconds)
+      .Num("message_seconds", p.train.message_seconds)
+      .Num("feature_seconds", p.train.feature_seconds)
+      .Num("update_seconds", p.train.update_seconds)
+      .Int("message_queries", p.train.message_queries)
+      .Int("feature_queries", p.train.feature_queries)
+      .Counters(p.stats, {"queries_planned", "rows_scan_input",
+                          "rows_scan_output", "cols_scanned", "cols_pruned",
+                          "cols_decompressed", "cells_decompressed",
+                          "predicates_pushed", "joins_reordered"})
+      .End();
 }
 
 double Reduction(size_t off, size_t on) {
@@ -82,36 +68,25 @@ double Reduction(size_t off, size_t on) {
 }
 
 void WriteJson(const Pass& on, const Pass& off, size_t sales_rows) {
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR2.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"fig09_query_breakdown\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"sales_rows\": %zu,\n",
-               jb::bench::Scale(), sales_rows);
-  EmitPass(f, "planner_on", on, /*last=*/false);
-  EmitPass(f, "planner_off", off, /*last=*/false);
-  std::fprintf(
-      f,
-      "  \"delta\": {\n"
-      "    \"rows_scanned_reduction\": %.4f,\n"
-      "    \"cols_decompressed_reduction\": %.4f,\n"
-      "    \"cells_decompressed_reduction\": %.4f,\n"
-      "    \"speedup\": %.3f\n"
-      "  }\n"
-      "}\n",
-      Reduction(off.stats.rows_scan_output, on.stats.rows_scan_output),
-      Reduction(off.stats.cols_decompressed, on.stats.cols_decompressed),
-      Reduction(off.stats.cells_decompressed, on.stats.cells_decompressed),
-      on.train.seconds > 0 ? off.train.seconds / on.train.seconds : 0.0);
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  jb::bench::Json json;
+  json.Str("bench", "fig09_query_breakdown")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Int("sales_rows", sales_rows);
+  EmitPass(json, "planner_on", on);
+  EmitPass(json, "planner_off", off);
+  json.Object("delta")
+      .Num("rows_scanned_reduction",
+           Reduction(off.stats.rows_scan_output, on.stats.rows_scan_output))
+      .Num("cols_decompressed_reduction",
+           Reduction(off.stats.cols_decompressed, on.stats.cols_decompressed))
+      .Num("cells_decompressed_reduction",
+           Reduction(off.stats.cells_decompressed,
+                     on.stats.cells_decompressed))
+      .Num("speedup",
+           on.train.seconds > 0 ? off.train.seconds / on.train.seconds : 0.0,
+           3)
+      .End();
+  json.Save("BENCH_PR2.json");
 }
 
 }  // namespace

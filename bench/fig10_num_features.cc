@@ -9,7 +9,6 @@
 // counters (split queries, grouping sets, cells decompressed) are written to
 // BENCH_PR4.json — a CI artifact guarded by tools/compare_bench.py.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -73,51 +72,34 @@ SweepPoint RunSweepPoint(size_t rows, int extra, int iters) {
 }
 
 void WriteJson(const std::vector<SweepPoint>& sweep, size_t rows, int iters) {
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR4.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"fig10_num_features\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"sales_rows\": %zu,\n"
-               "  \"iterations\": %d,\n"
-               "  \"sweep\": [\n",
-               jb::bench::Scale(), rows, iters);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
+  jb::bench::Json json;
+  json.Str("bench", "fig10_num_features")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Int("sales_rows", rows)
+      .Int("iterations", iters)
+      .Array("sweep");
+  for (const SweepPoint& p : sweep) {
     double speedup = p.batched_seconds > 0
                          ? p.per_feature_seconds / p.batched_seconds
                          : 0.0;
-    std::fprintf(f,
-                 "    {\"features\": %zu, \"batched_seconds\": %.4f, "
-                 "\"per_feature_seconds\": %.4f, \"speedup\": %.3f}%s\n",
-                 p.features, p.batched_seconds, p.per_feature_seconds, speedup,
-                 i + 1 < sweep.size() ? "," : "");
+    json.Object()
+        .Int("features", p.features)
+        .Num("batched_seconds", p.batched_seconds)
+        .Num("per_feature_seconds", p.per_feature_seconds)
+        .Num("speedup", speedup, 3)
+        .End();
   }
   // Deterministic counters, one flat object for the CI regression guard.
-  std::fprintf(f, "  ],\n  \"counters\": {\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    std::fprintf(f,
-                 "    \"split_queries_batched_w%zu\": %zu,\n"
-                 "    \"split_queries_per_feature_w%zu\": %zu,\n"
-                 "    \"grouping_sets_w%zu\": %zu,\n"
-                 "    \"message_queries_w%zu\": %zu,\n"
-                 "    \"cells_decompressed_batched_w%zu\": %zu%s\n",
-                 p.features, p.batched_split_queries, p.features,
-                 p.per_feature_split_queries, p.features, p.grouping_sets,
-                 p.features, p.message_queries, p.features,
-                 p.batched_cells_decompressed,
-                 i + 1 < sweep.size() ? "," : "");
+  json.End().Object("counters");
+  for (const SweepPoint& p : sweep) {
+    const std::string w = "_w" + std::to_string(p.features);
+    json.Int("split_queries_batched" + w, p.batched_split_queries)
+        .Int("split_queries_per_feature" + w, p.per_feature_split_queries)
+        .Int("grouping_sets" + w, p.grouping_sets)
+        .Int("message_queries" + w, p.message_queries)
+        .Int("cells_decompressed_batched" + w, p.batched_cells_decompressed);
   }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  json.End().Save("BENCH_PR4.json");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 // prunes whole chunks off zone maps — guarded by CI against
 // bench/baselines/BENCH_PR9.json via tools/compare_bench.py.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -163,46 +162,31 @@ int main() {
     return 1;
   }
 
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR9.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return 1;
+  jb::bench::Json json;
+  json.Str("bench", "fig11_tpcds_sf")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Int("chunk_rows", kChunkRows)
+      .Int("fact_rows", fact_rows)
+      .Int("append_rows", append_rows)
+      .Num("append_seconds", append_seconds, 6)
+      .Array("sweep");
+  for (const SweepPoint& p : sweep) {
+    json.Object()
+        .Int("iterations", p.iterations)
+        .Num("sf", p.sf, 2)
+        .Num("joinboost_seconds", p.joinboost_seconds, 6)
+        .Num("lightgbm_seconds", p.lightgbm_seconds, 6)
+        .End();
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"fig11_tpcds_sf\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"chunk_rows\": %zu,\n"
-               "  \"fact_rows\": %zu,\n"
-               "  \"append_rows\": %zu,\n"
-               "  \"append_seconds\": %.6f,\n"
-               "  \"sweep\": [\n",
-               jb::bench::Scale(), kChunkRows, fact_rows, append_rows,
-               append_seconds);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"iterations\": %d, \"sf\": %.2f, "
-                 "\"joinboost_seconds\": %.6f, \"lightgbm_seconds\": %.6f}%s\n",
-                 sweep[i].iterations, sweep[i].sf, sweep[i].joinboost_seconds,
-                 sweep[i].lightgbm_seconds, i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"counters\": {\n"
-               "    \"load_chunks_created\": %zu,\n"
-               "    \"append_chunks_created\": %zu,\n"
-               "    \"append_chunks_rewritten\": %zu,\n"
-               "    \"scan_chunks_pruned\": %zu,\n"
-               "    \"fact_chunks\": %zu,\n"
-               "    \"scan_result_rows\": %zu\n"
-               "  }\n"
-               "}\n",
-               load_chunks_created, append_stats.chunks_created,
-               append_stats.chunks_rewritten, scan_stats.chunks_pruned,
-               db.catalog().Get("store_sales")->num_chunks(), scan_rows);
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  json.End()
+      .Object("counters")
+      .Int("load_chunks_created", load_chunks_created)
+      .Int("append_chunks_created", append_stats.chunks_created)
+      .Int("append_chunks_rewritten", append_stats.chunks_rewritten)
+      .Int("scan_chunks_pruned", scan_stats.chunks_pruned)
+      .Int("fact_chunks", db.catalog().Get("store_sales")->num_chunks())
+      .Int("scan_result_rows", scan_rows)
+      .End();
+  if (!json.Save("BENCH_PR9.json")) return 1;
   return 0;
 }

@@ -6,7 +6,6 @@
 // written to BENCH_PR3.json (CI artifact).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,8 +34,7 @@ struct SweepPoint {
   double best_seconds = 0;
   double total_seconds = 0;
   size_t rows_out = 0;
-  size_t morsels = 0;
-  size_t steals = 0;
+  jb::plan::PlanStats stats;  ///< over the timed reps
 };
 
 SweepPoint RunSweepPoint(int threads, const jb::data::FavoritaConfig& config,
@@ -60,61 +58,36 @@ SweepPoint RunSweepPoint(int threads, const jb::data::FavoritaConfig& config,
     pt.total_seconds += s;
     pt.best_seconds = std::min(pt.best_seconds, s);
   }
-  jb::plan::PlanStats stats = db.PlanStatsTotals();
-  pt.morsels = stats.morsels_dispatched;
-  pt.steals = stats.morsels_stolen;
+  pt.stats = db.PlanStatsTotals();
   return pt;
 }
 
 void WriteJson(const std::vector<SweepPoint>& sweep, size_t sales_rows,
                int reps) {
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR3.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("could not write %s\n", path);
-    return;
-  }
-  double t1 = 0;
+  double t1 = 0, t4 = 0;
   for (const auto& pt : sweep) {
     if (pt.requested == 1) t1 = pt.best_seconds;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"figure\": \"fig18_morsel_sweep\",\n"
-               "  \"query\": \"favorita_smoke_message\",\n"
-               "  \"sales_rows\": %zu,\n"
-               "  \"reps\": %d,\n"
-               "  \"threads\": {\n",
-               sales_rows, reps);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& pt = sweep[i];
-    std::fprintf(f,
-                 "    \"%d\": {\n"
-                 "      \"effective_threads\": %d,\n"
-                 "      \"best_seconds\": %.6f,\n"
-                 "      \"total_seconds\": %.6f,\n"
-                 "      \"rows_out\": %zu,\n"
-                 "      \"morsels_dispatched\": %zu,\n"
-                 "      \"morsels_stolen\": %zu,\n"
-                 "      \"speedup_vs_1\": %.3f\n"
-                 "    }%s\n",
-                 pt.requested, pt.effective, pt.best_seconds, pt.total_seconds,
-                 pt.rows_out, pt.morsels, pt.steals,
-                 pt.best_seconds > 0 ? t1 / pt.best_seconds : 0.0,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  double t4 = 0;
-  for (const auto& pt : sweep) {
     if (pt.requested == 4) t4 = pt.best_seconds;
   }
-  std::fprintf(f,
-               "  },\n"
-               "  \"speedup_4_threads\": %.3f\n"
-               "}\n",
-               t4 > 0 ? t1 / t4 : 0.0);
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  jb::bench::Json json;
+  json.Str("figure", "fig18_morsel_sweep")
+      .Str("query", "favorita_smoke_message")
+      .Int("sales_rows", sales_rows)
+      .Int("reps", reps)
+      .Object("threads");
+  for (const SweepPoint& pt : sweep) {
+    json.Object(std::to_string(pt.requested))
+        .Int("effective_threads", pt.effective)
+        .Num("best_seconds", pt.best_seconds, 6)
+        .Num("total_seconds", pt.total_seconds, 6)
+        .Int("rows_out", pt.rows_out)
+        .Counters(pt.stats, {"morsels_dispatched", "morsels_stolen"})
+        .Num("speedup_vs_1", pt.best_seconds > 0 ? t1 / pt.best_seconds : 0.0,
+             3)
+        .End();
+  }
+  json.End().Num("speedup_4_threads", t4 > 0 ? t1 / t4 : 0.0, 3);
+  json.Save("BENCH_PR3.json");
 }
 
 }  // namespace
@@ -171,8 +144,8 @@ int main() {
     Row("threads=" + std::to_string(pt.requested) +
             " (effective=" + std::to_string(pt.effective) + ")",
         pt.best_seconds);
-    Note("morsels=" + std::to_string(pt.morsels) +
-         " stolen=" + std::to_string(pt.steals) +
+    Note("morsels=" + std::to_string(pt.stats.morsels_dispatched) +
+         " stolen=" + std::to_string(pt.stats.morsels_stolen) +
          " rows_out=" + std::to_string(pt.rows_out));
   }
   WriteJson(sweep, sweep_config.sales_rows, reps);

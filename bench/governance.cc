@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
@@ -169,10 +168,8 @@ CancelSweep RunCancelSweep(jb::exec::Database* db) {
 }
 
 struct CounterSweep {
-  uint64_t guard_checks = 0;
-  uint64_t queries_cancelled = 0;
-  uint64_t deadline_aborts = 0;
-  uint64_t budget_aborts = 0;
+  jb::plan::PlanStats clean;   ///< the clean governed stream (guard_checks)
+  jb::plan::PlanStats aborts;  ///< one trip of each limit (abort counters)
   uint64_t admission_rejected = 0;
 };
 
@@ -192,7 +189,7 @@ CounterSweep RunCounterSweep() {
         RunGoverned(&db, sql, &guard);
       }
     }
-    out.guard_checks = db.PlanStatsTotals().guard_checks;
+    out.clean = db.PlanStatsTotals();
   }
 
   // Abort counters: trip each limit exactly once on a second engine.
@@ -227,10 +224,7 @@ CounterSweep RunCounterSweep() {
       } catch (const jb::QueryAborted&) {
       }
     }
-    jb::plan::PlanStats totals = db.PlanStatsTotals();
-    out.queries_cancelled = totals.queries_cancelled;
-    out.deadline_aborts = totals.deadline_aborts;
-    out.budget_aborts = totals.budget_aborts;
+    out.aborts = db.PlanStatsTotals();
 
     // admission_rejected: one slot, held; a bounded-wait request must be
     // rejected typed once, then succeed after release.
@@ -255,41 +249,22 @@ CounterSweep RunCounterSweep() {
 
 void WriteJson(const OverheadSweep& over, const CancelSweep& cancel,
                const CounterSweep& counters) {
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR10.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"governance\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"ungoverned_seconds\": %.6f,\n"
-               "  \"governed_seconds\": %.6f,\n"
-               "  \"guard_overhead_pct\": %.3f,\n"
-               "  \"cancel_latency_p50_ms\": %.3f,\n"
-               "  \"cancel_latency_max_ms\": %.3f,\n"
-               "  \"cancel_trials\": %zu,\n"
-               "  \"counters\": {\n"
-               "    \"guard_checks\": %llu,\n"
-               "    \"queries_cancelled\": %llu,\n"
-               "    \"deadline_aborts\": %llu,\n"
-               "    \"budget_aborts\": %llu,\n"
-               "    \"admission_rejected\": %llu\n"
-               "  }\n"
-               "}\n",
-               jb::bench::Scale(), over.ungoverned_seconds,
-               over.governed_seconds, over.overhead_pct, cancel.p50_ms,
-               cancel.max_ms, cancel.trials,
-               static_cast<unsigned long long>(counters.guard_checks),
-               static_cast<unsigned long long>(counters.queries_cancelled),
-               static_cast<unsigned long long>(counters.deadline_aborts),
-               static_cast<unsigned long long>(counters.budget_aborts),
-               static_cast<unsigned long long>(counters.admission_rejected));
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  jb::bench::Json json;
+  json.Str("bench", "governance")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Num("ungoverned_seconds", over.ungoverned_seconds, 6)
+      .Num("governed_seconds", over.governed_seconds, 6)
+      .Num("guard_overhead_pct", over.overhead_pct, 3)
+      .Num("cancel_latency_p50_ms", cancel.p50_ms, 3)
+      .Num("cancel_latency_max_ms", cancel.max_ms, 3)
+      .Int("cancel_trials", cancel.trials)
+      .Object("counters")
+      .Counters(counters.clean, {"guard_checks"})
+      .Counters(counters.aborts,
+                {"queries_cancelled", "deadline_aborts", "budget_aborts"})
+      .Int("admission_rejected", counters.admission_rejected)
+      .End();
+  json.Save("BENCH_PR10.json");
 }
 
 }  // namespace
@@ -318,12 +293,10 @@ int main() {
 
   CounterSweep counters = RunCounterSweep();
   std::printf(
-      "  counters: guard_checks=%llu cancelled=%llu deadline=%llu "
-      "budget=%llu admission_rejected=%llu\n",
-      static_cast<unsigned long long>(counters.guard_checks),
-      static_cast<unsigned long long>(counters.queries_cancelled),
-      static_cast<unsigned long long>(counters.deadline_aborts),
-      static_cast<unsigned long long>(counters.budget_aborts),
+      "  counters: guard_checks=%zu cancelled=%zu deadline=%zu budget=%zu "
+      "admission_rejected=%llu\n",
+      counters.clean.guard_checks, counters.aborts.queries_cancelled,
+      counters.aborts.deadline_aborts, counters.aborts.budget_aborts,
       static_cast<unsigned long long>(counters.admission_rejected));
 
   WriteJson(over, cancel, counters);

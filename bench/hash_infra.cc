@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -224,43 +223,27 @@ EngineCounters RunEngineSmoke() {
 
 void WriteJson(const std::vector<SweepResult>& sweep, double speedup,
                const EngineCounters& engine) {
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR5.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return;
+  jb::bench::Json json;
+  json.Str("bench", "hash_infra")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Array("sweep");
+  for (const SweepResult& r : sweep) {
+    json.Object()
+        .Str("name", r.name)
+        .Num("old_seconds", r.old_seconds, 6)
+        .Num("new_seconds", r.new_seconds, 6)
+        .Num("speedup", r.speedup, 3)
+        .End();
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"hash_infra\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"sweep\": [\n",
-               jb::bench::Scale());
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"old_seconds\": %.6f, "
-                 "\"new_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                 sweep[i].name.c_str(), sweep[i].old_seconds,
-                 sweep[i].new_seconds, sweep[i].speedup,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"engine_seconds\": %.4f,\n"
-               "  \"counters\": {\n"
-               "    \"engine_queries\": %zu,\n"
-               "    \"hash_probes\": %zu,\n"
-               "    \"hash_chain_follows\": %zu,\n"
-               "    \"hash_bytes\": %zu\n"
-               "  }\n"
-               "}\n",
-               speedup, engine.seconds, engine.queries,
-               engine.stats.hash_probes, engine.stats.hash_chain_follows,
-               engine.stats.hash_bytes);
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  json.End()
+      .Num("speedup", speedup, 3)
+      .Num("engine_seconds", engine.seconds)
+      .Object("counters")
+      .Int("engine_queries", engine.queries)
+      .Counters(engine.stats, {"hash_probes", "hash_chain_follows",
+                               "hash_bytes"})
+      .End();
+  json.Save("BENCH_PR5.json");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -156,35 +155,19 @@ TrainResultRow RunTrainComparison() {
 }
 
 void WriteJson(const PlanSweep& sweep, const TrainResultRow& train) {
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR7.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"plan_cache\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"plan_cold_seconds\": %.6f,\n"
-               "  \"plan_cached_seconds\": %.6f,\n"
-               "  \"plan_speedup\": %.3f,\n"
-               "  \"train_cost_based_seconds\": %.4f,\n"
-               "  \"train_greedy_seconds\": %.4f,\n"
-               "  \"counters\": {\n"
-               "    \"queries_planned\": %zu,\n"
-               "    \"plan_cache_hits\": %zu,\n"
-               "    \"plan_cache_misses\": %zu,\n"
-               "    \"joins_reordered_dp\": %zu\n"
-               "  }\n"
-               "}\n",
-               jb::bench::Scale(), sweep.cold_seconds, sweep.cached_seconds,
-               sweep.speedup, train.cost_seconds, train.greedy_seconds,
-               train.stats.queries_planned, train.stats.plan_cache_hits,
-               train.stats.plan_cache_misses, train.stats.joins_reordered_dp);
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  jb::bench::Json json;
+  json.Str("bench", "plan_cache")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Num("plan_cold_seconds", sweep.cold_seconds, 6)
+      .Num("plan_cached_seconds", sweep.cached_seconds, 6)
+      .Num("plan_speedup", sweep.speedup, 3)
+      .Num("train_cost_based_seconds", train.cost_seconds)
+      .Num("train_greedy_seconds", train.greedy_seconds)
+      .Object("counters")
+      .Counters(train.stats, {"queries_planned", "plan_cache_hits",
+                              "plan_cache_misses", "joins_reordered_dp"})
+      .End();
+  json.Save("BENCH_PR7.json");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
@@ -201,41 +200,24 @@ ServeSweep RunServeSweep(jb::serve::ServingContext* ctx,
 }
 
 void WriteJson(const PredictSweep& pred, const ServeSweep& serve) {
-  const char* path = std::getenv("JB_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_PR8.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  -- could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"serving\",\n"
-               "  \"scale\": %.3f,\n"
-               "  \"predict_per_row_seconds\": %.6f,\n"
-               "  \"predict_batched_seconds\": %.6f,\n"
-               "  \"predict_speedup\": %.3f,\n"
-               "  \"predict_rows\": %zu,\n"
-               "  \"serve_wall_seconds\": %.4f,\n"
-               "  \"serve_qps\": %.2f,\n"
-               "  \"serve_p50_ms\": %.3f,\n"
-               "  \"serve_p99_ms\": %.3f,\n"
-               "  \"serve_admission_waits\": %llu,\n"
-               "  \"counters\": {\n"
-               "    \"snapshots_published\": %llu,\n"
-               "    \"snapshot_reads\": %llu,\n"
-               "    \"batched_predictions\": %llu\n"
-               "  }\n"
-               "}\n",
-               jb::bench::Scale(), pred.per_row_seconds, pred.batched_seconds,
-               pred.speedup, pred.rows, serve.wall_seconds, serve.qps,
-               serve.p50_ms, serve.p99_ms,
-               static_cast<unsigned long long>(serve.admission_waits),
-               static_cast<unsigned long long>(serve.snapshots_published),
-               static_cast<unsigned long long>(serve.snapshot_reads),
-               static_cast<unsigned long long>(serve.batched_predictions));
-  std::fclose(f);
-  std::printf("  -- wrote %s\n", path);
+  jb::bench::Json json;
+  json.Str("bench", "serving")
+      .Num("scale", jb::bench::Scale(), 3)
+      .Num("predict_per_row_seconds", pred.per_row_seconds, 6)
+      .Num("predict_batched_seconds", pred.batched_seconds, 6)
+      .Num("predict_speedup", pred.speedup, 3)
+      .Int("predict_rows", pred.rows)
+      .Num("serve_wall_seconds", serve.wall_seconds)
+      .Num("serve_qps", serve.qps, 2)
+      .Num("serve_p50_ms", serve.p50_ms, 3)
+      .Num("serve_p99_ms", serve.p99_ms, 3)
+      .Int("serve_admission_waits", serve.admission_waits)
+      .Object("counters")
+      .Int("snapshots_published", serve.snapshots_published)
+      .Int("snapshot_reads", serve.snapshot_reads)
+      .Int("batched_predictions", serve.batched_predictions)
+      .End();
+  json.Save("BENCH_PR8.json");
 }
 
 }  // namespace

@@ -140,15 +140,6 @@ std::shared_ptr<ExecTable> Database::Query(const std::string& sql_text,
   return res.table;
 }
 
-std::shared_ptr<ExecTable> Database::QueryOn(const Catalog& cat,
-                                             const std::string& sql_text,
-                                             const std::string& tag) {
-  ReadContext rctx;
-  rctx.catalog = &cat;
-  rctx.tag = tag;
-  return Query(rctx, sql_text);
-}
-
 double Database::QueryScalarDouble(const std::string& sql_text,
                                    const std::string& tag) {
   auto t = Query(sql_text, tag);
@@ -162,7 +153,8 @@ Database::Result Database::ExecuteStatement(const sql::Statement& stmt) {
   Result res;
   switch (stmt.kind) {
     case sql::Statement::Kind::kSelect:
-      res.table = std::make_shared<ExecTable>(RunSelect(*stmt.select));
+      res.table =
+          std::make_shared<ExecTable>(Query(ReadContext{}, *stmt.select));
       break;
     case sql::Statement::Kind::kExplain:
       res.table = ExecuteExplain(stmt);
@@ -183,17 +175,6 @@ Database::Result Database::ExecuteStatement(const sql::Statement& stmt) {
       break;
   }
   return res;
-}
-
-ExecTable Database::RunSelect(const sql::SelectStmt& stmt) {
-  return Query(ReadContext{}, stmt);
-}
-
-ExecTable Database::RunSelectOn(const Catalog& cat,
-                                const sql::SelectStmt& stmt) {
-  ReadContext rctx;
-  rctx.catalog = &cat;
-  return Query(rctx, stmt);
 }
 
 std::shared_ptr<ExecTable> Database::Query(const ReadContext& rctx,
@@ -217,6 +198,12 @@ std::shared_ptr<ExecTable> Database::Query(const ReadContext& rctx,
 
 ExecTable Database::Query(const ReadContext& rctx,
                           const sql::SelectStmt& stmt) {
+  return RunQuery(rctx, stmt, /*analyzed=*/nullptr);
+}
+
+ExecTable Database::RunQuery(const ReadContext& rctx,
+                             const sql::SelectStmt& stmt,
+                             plan::LogicalPlan* analyzed) {
   const Catalog& cat = rctx.catalog ? *rctx.catalog : catalog_;
   const EngineProfile& prof = rctx.profile ? *rctx.profile : profile_;
 
@@ -248,7 +235,7 @@ ExecTable Database::Query(const ReadContext& rctx,
   };
   try {
     ExecTable current;
-    if (prof.use_planner) {
+    if (prof.use_planner || analyzed != nullptr) {
       plan::PlannerContext pctx;
       if (prof.cost_based_planner) {
         pctx.stats = &stats_mgr_;
@@ -272,10 +259,14 @@ ExecTable Database::Query(const ReadContext& rctx,
         ++local.plan_cache_misses;
       }
       current = ExecutePlanNode(cat, *lp.data_root, octx, ectx);
+      if (analyzed != nullptr) *analyzed = std::move(lp);
     } else {
       current = RunFromWhere(cat, stmt, octx, ectx);
     }
     ExecTable out = FinishSelect(stmt, std::move(current), octx, ectx);
+    if (analyzed != nullptr && analyzed->root) {
+      analyzed->root->actual_rows = static_cast<double>(out.rows);
+    }
     merge_stats();
     return out;
   } catch (const QueryAborted& e) {
@@ -312,35 +303,12 @@ std::string Database::ExplainSelect(const sql::SelectStmt& stmt) {
   return plan::Explain(lp);
 }
 
-std::string Database::ExplainAnalyzeSelect(const sql::SelectStmt& stmt) {
-  plan::PlanStats local;
-  OpContext octx;
-  octx.row_mode = !profile_.columnar_exec;
-  octx.threads = exec_threads_;
-  octx.pool = pool_.get();
-  octx.interop_scan = profile_.dataframe_interop;
-  octx.stats = &local;
-  octx.morsel_rows = profile_.morsel_rows;
-  octx.parallel_threshold = profile_.parallel_threshold_rows;
-  octx.compressed_exec = profile_.compressed_exec && profile_.compression;
-
-  EvalContext ectx;
-  ectx.run_subquery = [this](const sql::SelectStmt& sub) {
-    return RunSelect(sub);
-  };
-
-  // Plan with stats but without the cache (same policy as ExplainSelect), on
-  // the execution plan shape (for_explain=false) so the tree we annotate is
-  // the tree we run.
-  plan::PlannerContext pctx;
-  if (profile_.cost_based_planner) pctx.stats = &stats_mgr_;
-  plan::LogicalPlan lp = plan::PlanSelect(stmt, catalog_, /*for_explain=*/false,
-                                          parallel_policy(), &pctx);
-  ExecTable current = ExecutePlanNode(catalog_, *lp.data_root, octx, ectx);
-  ExecTable out = FinishSelect(stmt, std::move(current), octx, ectx);
-  if (lp.root) lp.root->actual_rows = static_cast<double>(out.rows);
-  // Re-render through the EXPLAIN tree builder: PlanSelect(for_explain) would
-  // re-plan and lose the recorded actuals, so render this plan directly.
+std::string Database::ExplainAnalyzeSelect(const ReadContext& rctx,
+                                           const sql::SelectStmt& stmt) {
+  // The statement runs exactly as Query runs it (context, counters, plan
+  // cache); only the executed plan, annotated with actual rows, is kept.
+  plan::LogicalPlan lp;
+  RunQuery(rctx, stmt, &lp);
   return plan::Explain(lp);
 }
 
@@ -354,8 +322,9 @@ plan::ParallelPolicy Database::parallel_policy() const {
 
 std::shared_ptr<ExecTable> Database::ExecuteExplain(
     const sql::Statement& stmt) {
-  std::string text = stmt.analyze ? ExplainAnalyzeSelect(*stmt.select)
-                                  : ExplainSelect(*stmt.select);
+  std::string text = stmt.analyze
+                         ? ExplainAnalyzeSelect(ReadContext{}, *stmt.select)
+                         : ExplainSelect(*stmt.select);
   auto dict = std::make_shared<Dictionary>();
   std::vector<int64_t> codes;
   std::istringstream lines(text);
@@ -698,7 +667,7 @@ TablePtr Database::MaterializeResult(const std::string& name,
 }
 
 void Database::ExecuteCreateTableAs(const sql::Statement& stmt) {
-  ExecTable result = RunSelect(*stmt.select);
+  ExecTable result = Query(ReadContext{}, *stmt.select);
   MaterializeResult(stmt.table, result, /*as_dataframe=*/false);
 }
 
@@ -715,7 +684,7 @@ size_t Database::ExecuteUpdate(const sql::Statement& stmt) {
   octx.pool = nullptr;
   EvalContext ectx;
   ectx.run_subquery = [this](const sql::SelectStmt& sub) {
-    return RunSelect(sub);
+    return Query(ReadContext{}, sub);
   };
 
   // Decompress (cost) to evaluate and write.

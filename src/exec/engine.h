@@ -25,9 +25,9 @@ namespace exec {
 /// come from (null = the database's live catalog; the serving layer passes a
 /// session's pinned snapshot so concurrent writers stay invisible), an
 /// optional profile override (planner/threads/compressed-exec knobs; threads
-/// are still clamped to the engine pool), and the query-log tag. This is the
-/// single read entry point's context — Database::Query(const ReadContext&,
-/// ...) subsumes the old RunSelect/RunSelectOn/QueryOn trio.
+/// are still clamped to the engine pool), and the query-log tag. It is the
+/// context of the single read entry point, Database::Query(const
+/// ReadContext&, ...).
 struct ReadContext {
   const Catalog* catalog = nullptr;        ///< null = live catalog
   const EngineProfile* profile = nullptr;  ///< null = database profile
@@ -80,20 +80,6 @@ class Database {
   std::shared_ptr<ExecTable> Query(const ReadContext& rctx,
                                    const std::string& sql);
 
-  /// Deprecated: use Query(ReadContext{}, stmt).
-  ExecTable RunSelect(const sql::SelectStmt& stmt);
-
-  /// Deprecated: use Query(ReadContext{&cat}, stmt). This was the serving
-  /// layer's versioned-read path: a session resolves every base table
-  /// (including subquery scans) through its pinned snapshot catalog, so
-  /// concurrent writers publishing new table versions are invisible to it.
-  ExecTable RunSelectOn(const Catalog& cat, const sql::SelectStmt& stmt);
-
-  /// Deprecated: use Query(ReadContext{&cat, nullptr, tag}, sql).
-  std::shared_ptr<ExecTable> QueryOn(const Catalog& cat,
-                                     const std::string& sql,
-                                     const std::string& tag = "");
-
   /// Append `rows` (matched to the table's schema by column name) to table
   /// `name` by sealing new chunks: existing column segments are reused by
   /// pointer — O(new rows), chunks_rewritten stays 0 — and the grown table
@@ -106,9 +92,11 @@ class Database {
   /// Plan a SELECT and render its operator tree (the EXPLAIN statement).
   std::string ExplainSelect(const sql::SelectStmt& stmt);
 
-  /// EXPLAIN ANALYZE: plan, execute, and render the tree with per-operator
-  /// actual row counts next to the estimates.
-  std::string ExplainAnalyzeSelect(const sql::SelectStmt& stmt);
+  /// EXPLAIN ANALYZE: plan and execute as Query(rctx, stmt) does (counters
+  /// merged, guard honoured), and render the tree with per-operator actual
+  /// row counts next to the estimates.
+  std::string ExplainAnalyzeSelect(const ReadContext& rctx,
+                                   const sql::SelectStmt& stmt);
 
   /// Intra-query thread budget after clamping to the pool size.
   int exec_threads() const { return exec_threads_; }
@@ -158,6 +146,11 @@ class Database {
   size_t ExecuteUpdate(const sql::Statement& stmt);
   void ExecuteCreateTableAs(const sql::Statement& stmt);
   std::shared_ptr<ExecTable> ExecuteExplain(const sql::Statement& stmt);
+  /// Query(rctx, stmt); when `analyzed` is set, the statement is planned
+  /// even with use_planner off and the executed plan is stored there with
+  /// actual row counts recorded (EXPLAIN ANALYZE).
+  ExecTable RunQuery(const ReadContext& rctx, const sql::SelectStmt& stmt,
+                     plan::LogicalPlan* analyzed);
 
   /// Legacy data-section execution over the raw AST (planner off). `cat` is
   /// the catalog base tables resolve against (the live catalog_, or a

@@ -1,3 +1,4 @@
+#include <iomanip>
 #include <sstream>
 
 #include "plan/logical_plan.h"
@@ -38,36 +39,9 @@ std::string Explain(const LogicalPlan& plan) {
 
 std::string FormatStats(const PlanStats& s) {
   std::ostringstream os;
-  os << "queries_planned    " << s.queries_planned << "\n"
-     << "scans              " << s.scans << "\n"
-     << "rows scan in/out   " << s.rows_scan_input << " / "
-     << s.rows_scan_output << "\n"
-     << "cols scan/pruned   " << s.cols_scanned << " / " << s.cols_pruned
-     << "\n"
-     << "decompressed       " << s.cols_decompressed << " cols, "
-     << s.cells_decompressed << " cells\n"
-     << "decompress_avoided " << s.cells_decompress_avoided << " cells\n"
-     << "blocks_skipped     " << s.blocks_skipped << "\n"
-     << "predicates_pushed  " << s.predicates_pushed << "\n"
-     << "constants_folded   " << s.constants_folded << "\n"
-     << "joins_reordered    " << s.joins_reordered << "\n"
-     << "joins_reordered_dp " << s.joins_reordered_dp << "\n"
-     << "plan_cache hit/miss " << s.plan_cache_hits << " / "
-     << s.plan_cache_misses << "\n"
-     << "morsels disp/stole " << s.morsels_dispatched << " / "
-     << s.morsels_stolen << "\n"
-     << "multi_aggs/sets    " << s.multi_aggs << " / " << s.grouping_sets
-     << "\n"
-     << "hash_probes        " << s.hash_probes << "\n"
-     << "hash_chain_follows " << s.hash_chain_follows << "\n"
-     << "hash_bytes         " << s.hash_bytes << "\n"
-     << "chunks created/rewritten " << s.chunks_created << " / "
-     << s.chunks_rewritten << "\n"
-     << "chunks_pruned      " << s.chunks_pruned << "\n"
-     << "guard_checks       " << s.guard_checks << "\n"
-     << "queries_cancelled  " << s.queries_cancelled << "\n"
-     << "deadline_aborts    " << s.deadline_aborts << "\n"
-     << "budget_aborts      " << s.budget_aborts << "\n";
+  s.ForEach([&os](const CounterInfo& c, size_t value) {
+    os << std::left << std::setw(25) << c.name << value << "\n";
+  });
   return os.str();
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "plan/plan_stats.h"
 #include "sql/ast.h"
 #include "storage/catalog.h"
 
@@ -16,127 +17,6 @@ class StatsManager;
 }  // namespace stats
 
 namespace plan {
-
-/// Counters produced while planning and executing queries. The engine
-/// accumulates them per-database; trainers report the delta over a training
-/// run (Figure 9 instrumentation extended with planner effectiveness).
-struct PlanStats {
-  size_t queries_planned = 0;    ///< SELECTs that went through the planner
-  size_t scans = 0;              ///< base-table scans executed
-  size_t rows_scan_input = 0;    ///< base-table rows entering scans
-  size_t rows_scan_output = 0;   ///< rows surviving fused scan filters
-  size_t cols_scanned = 0;       ///< columns materialized by scans
-  size_t cols_pruned = 0;        ///< columns skipped via projection pruning
-  size_t cols_decompressed = 0;  ///< encoded columns actually decoded
-  size_t cells_decompressed = 0; ///< rows x decoded columns (decode volume)
-  size_t cells_decompress_avoided = 0; ///< encoded cells compressed execution
-                                       ///< never materialized; deterministic
-                                       ///< for any thread count
-  size_t blocks_skipped = 0;     ///< encoded blocks skipped wholesale via
-                                 ///< zone-map (min/max) predicate bounds
-  size_t predicates_pushed = 0;  ///< WHERE conjuncts fused into scans
-  size_t constants_folded = 0;   ///< predicate subtrees folded to literals
-  size_t joins_reordered = 0;    ///< queries whose join order changed
-  size_t joins_reordered_dp = 0; ///< queries whose order the DP enumerator
-                                 ///< changed (counted on cache hits too)
-  size_t plan_cache_hits = 0;    ///< shape-cache hits (stats + DP skipped)
-  size_t plan_cache_misses = 0;  ///< shape-cache misses (decision computed)
-  size_t morsels_dispatched = 0; ///< morsels run by parallel operators
-  size_t morsels_stolen = 0;     ///< morsels executed by pool workers rather
-                                 ///< than the dispatching thread
-  size_t multi_aggs = 0;         ///< multi-aggregate (GROUPING SETS) operators
-  size_t grouping_sets = 0;      ///< grouping sets evaluated by them
-  size_t hash_probes = 0;        ///< hash-table lookups (join build + probe,
-                                 ///< group find-or-add; one per input row)
-  size_t hash_chain_follows = 0; ///< bucket-chain links walked (join probe
-                                 ///< matches + same-hash group collisions);
-                                 ///< deterministic for any thread count
-  size_t hash_bytes = 0;         ///< hash memory at canonical (single-table)
-                                 ///< sizing: next[] chains + slot directory
-  size_t chunks_created = 0;     ///< column segments sealed (loads, result
-                                 ///< materialization, appends, rewrites)
-  size_t chunks_rewritten = 0;   ///< pre-existing column segments rebuilt;
-                                 ///< appends pin this to 0 (O(new rows))
-  size_t chunks_pruned = 0;      ///< horizontal chunks eliminated wholesale
-                                 ///< by zone maps (never decoded); like the
-                                 ///< other decode counters, deterministic
-                                 ///< for any thread count
-  size_t guard_checks = 0;       ///< cooperative QueryGuard check points on
-                                 ///< governed queries (logical morsels,
-                                 ///< conjunct x block, operator seals) —
-                                 ///< deterministic for any thread count
-  size_t queries_cancelled = 0;  ///< queries aborted via QueryGuard::Cancel
-  size_t deadline_aborts = 0;    ///< queries aborted by a guard deadline
-  size_t budget_aborts = 0;      ///< queries aborted by the byte budget
-
-  PlanStats& operator+=(const PlanStats& o) {
-    queries_planned += o.queries_planned;
-    scans += o.scans;
-    rows_scan_input += o.rows_scan_input;
-    rows_scan_output += o.rows_scan_output;
-    cols_scanned += o.cols_scanned;
-    cols_pruned += o.cols_pruned;
-    cols_decompressed += o.cols_decompressed;
-    cells_decompressed += o.cells_decompressed;
-    cells_decompress_avoided += o.cells_decompress_avoided;
-    blocks_skipped += o.blocks_skipped;
-    predicates_pushed += o.predicates_pushed;
-    constants_folded += o.constants_folded;
-    joins_reordered += o.joins_reordered;
-    joins_reordered_dp += o.joins_reordered_dp;
-    plan_cache_hits += o.plan_cache_hits;
-    plan_cache_misses += o.plan_cache_misses;
-    morsels_dispatched += o.morsels_dispatched;
-    morsels_stolen += o.morsels_stolen;
-    multi_aggs += o.multi_aggs;
-    grouping_sets += o.grouping_sets;
-    hash_probes += o.hash_probes;
-    hash_chain_follows += o.hash_chain_follows;
-    hash_bytes += o.hash_bytes;
-    chunks_created += o.chunks_created;
-    chunks_rewritten += o.chunks_rewritten;
-    chunks_pruned += o.chunks_pruned;
-    guard_checks += o.guard_checks;
-    queries_cancelled += o.queries_cancelled;
-    deadline_aborts += o.deadline_aborts;
-    budget_aborts += o.budget_aborts;
-    return *this;
-  }
-  PlanStats operator-(const PlanStats& o) const {
-    PlanStats d = *this;
-    d.queries_planned -= o.queries_planned;
-    d.scans -= o.scans;
-    d.rows_scan_input -= o.rows_scan_input;
-    d.rows_scan_output -= o.rows_scan_output;
-    d.cols_scanned -= o.cols_scanned;
-    d.cols_pruned -= o.cols_pruned;
-    d.cols_decompressed -= o.cols_decompressed;
-    d.cells_decompressed -= o.cells_decompressed;
-    d.cells_decompress_avoided -= o.cells_decompress_avoided;
-    d.blocks_skipped -= o.blocks_skipped;
-    d.predicates_pushed -= o.predicates_pushed;
-    d.constants_folded -= o.constants_folded;
-    d.joins_reordered -= o.joins_reordered;
-    d.joins_reordered_dp -= o.joins_reordered_dp;
-    d.plan_cache_hits -= o.plan_cache_hits;
-    d.plan_cache_misses -= o.plan_cache_misses;
-    d.morsels_dispatched -= o.morsels_dispatched;
-    d.morsels_stolen -= o.morsels_stolen;
-    d.multi_aggs -= o.multi_aggs;
-    d.grouping_sets -= o.grouping_sets;
-    d.hash_probes -= o.hash_probes;
-    d.hash_chain_follows -= o.hash_chain_follows;
-    d.hash_bytes -= o.hash_bytes;
-    d.chunks_created -= o.chunks_created;
-    d.chunks_rewritten -= o.chunks_rewritten;
-    d.chunks_pruned -= o.chunks_pruned;
-    d.guard_checks -= o.guard_checks;
-    d.queries_cancelled -= o.queries_cancelled;
-    d.deadline_aborts -= o.deadline_aborts;
-    d.budget_aborts -= o.budget_aborts;
-    return d;
-  }
-};
 
 /// Degree-of-parallelism policy the engine derives from its EngineProfile.
 /// The planner uses it to annotate operators with a DOP estimate (surfaced
@@ -253,7 +133,7 @@ struct PlannerContext {
 /// provides a StatsManager, greedy smallest-filtered-estimate-first
 /// otherwise (and as the fallback beyond graph::kMaxDpClauses).
 /// `for_explain` additionally plans FROM-clause subqueries as explain-only
-/// children (execution plans them in their own RunSelect instead).
+/// children (execution plans them in their own Query call instead).
 /// `parallel` annotates operators with a DOP estimate from row counts
 /// (defaulted: everything serial, est_dop = 1).
 LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
@@ -269,8 +149,8 @@ std::string Explain(const LogicalPlan& plan);
 std::string OperatorLabel(const LogicalOp& op);
 
 /// Human-readable dump of the execution counters (EXPLAIN-adjacent
-/// reporting; the sql_shell surfaces it as \stats). One "name value" line
-/// per counter group, deterministic for a deterministic query stream.
+/// reporting; the sql_shell surfaces it as \stats): one "name value" line
+/// per counter, in JB_PLAN_COUNTERS order.
 std::string FormatStats(const PlanStats& s);
 
 // ---- rewrite rules (rules.cc; exposed for unit tests) ----

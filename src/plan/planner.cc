@@ -231,7 +231,7 @@ LogicalOpPtr MakeScan(const RelInfo& rel, const Catalog& catalog,
                               : static_cast<int>(rel.known_cols.size());
     if (for_explain) {
       // Explain-only child; normal execution plans the nested SELECT inside
-      // its own RunSelect, so don't pay for a throwaway plan there.
+      // its own Query call, so don't pay for a throwaway plan there.
       LogicalPlan sub = PlanSelect(*rel.ref->subquery, catalog,
                                    /*for_explain=*/true, parallel, ctx);
       if (sub.root) {

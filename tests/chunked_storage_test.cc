@@ -358,12 +358,12 @@ TEST(ChunkedStatsTest, AppendReusesSegmentStatsAndMatchesMonolithicBuild) {
 TEST(ReadContextTest, DefaultContextMatchesLiveCatalogQuery) {
   Database db(EngineProfile::DSwap());
   db.LoadTable(TableBuilder("t").AddInts("x", Iota(100)).Build());
-  sql::Statement stmt = sql::Parse("SELECT SUM(t.x) AS s FROM t");
+  const std::string sql = "SELECT SUM(t.x) AS s FROM t";
+  sql::Statement stmt = sql::Parse(sql);
   ExecTable via_ctx = db.Query(exec::ReadContext{}, *stmt.select);
-  ExecTable via_legacy = db.RunSelect(*stmt.select);
   ASSERT_EQ(via_ctx.rows, 1u);
   EXPECT_EQ(via_ctx.GetValue(0, 0).AsDouble(),
-            via_legacy.GetValue(0, 0).AsDouble());
+            db.Query(sql)->GetValue(0, 0).AsDouble());
 }
 
 TEST(ReadContextTest, PinnedCatalogShieldsReadersFromWriters) {

@@ -127,15 +127,15 @@ TEST_F(ParallelDifferentialTest, GeneratedQueriesAreBitIdenticalAcrossConfigs) {
       << "N-thread engine never dispatched a morsel: thresholds broken?";
   EXPECT_EQ(on1_->PlanStatsTotals().morsels_dispatched, 0u)
       << "1-thread engine dispatched morsels: serial baseline broken?";
-  // The hash counters are canonical (partition-count independent), so after
-  // an identical query stream they must agree bit-for-bit across thread
-  // counts — that's what lets the CI bench guard pin them.
-  plan::PlanStats s1 = on1_->PlanStatsTotals();
-  plan::PlanStats sN = onN_->PlanStatsTotals();
-  EXPECT_GT(s1.hash_probes, 0u);
-  EXPECT_EQ(s1.hash_probes, sN.hash_probes);
-  EXPECT_EQ(s1.hash_chain_follows, sN.hash_chain_follows);
-  EXPECT_EQ(s1.hash_bytes, sN.hash_bytes);
+  // Every deterministic counter (scans, rows, columns, chunks, pushdowns,
+  // hash work, ...) is canonical, so after an identical query stream it
+  // agrees bit-for-bit across thread counts in either planner mode; that's
+  // what lets the CI bench guard pin them.
+  EXPECT_GT(on1_->PlanStatsTotals().hash_probes, 0u);
+  test_util::ExpectDeterministicCountersEqual(on1_->PlanStatsTotals(),
+                                              onN_->PlanStatsTotals());
+  test_util::ExpectDeterministicCountersEqual(off1_->PlanStatsTotals(),
+                                              offN_->PlanStatsTotals());
 }
 
 // Row-mode engines share the operator pipeline but hash keys per tuple
@@ -359,10 +359,7 @@ TEST_F(CompressedDifferentialTest, EncodedAndDecodedExecutionAreBitIdentical) {
   EXPECT_GT(s1.cells_decompress_avoided, 0u)
       << "compressed execution never avoided a decode: lowering broken?";
   EXPECT_GT(s1.blocks_skipped, 0u);
-  EXPECT_EQ(s1.cells_decompress_avoided, sN.cells_decompress_avoided)
-      << "avoided-cells counter depends on thread count";
-  EXPECT_EQ(s1.blocks_skipped, sN.blocks_skipped);
-  EXPECT_EQ(s1.cells_decompressed, sN.cells_decompressed);
+  test_util::ExpectDeterministicCountersEqual(s1, sN);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,10 +495,7 @@ TEST_F(CostBasedDifferentialTest, CostModelNeverChangesResults) {
   EXPECT_GT(s1.plan_cache_hits, 0u);
   EXPECT_GT(s1.plan_cache_misses, 0u);
   // Planning decisions are thread-count independent, bit for bit.
-  EXPECT_EQ(s1.plan_cache_hits, sN.plan_cache_hits);
-  EXPECT_EQ(s1.plan_cache_misses, sN.plan_cache_misses);
-  EXPECT_EQ(s1.joins_reordered_dp, sN.joins_reordered_dp);
-  EXPECT_EQ(s1.joins_reordered, sN.joins_reordered);
+  test_util::ExpectDeterministicCountersEqual(s1, sN);
 }
 
 // ---------------------------------------------------------------------------
@@ -622,6 +616,17 @@ TEST_F(ChunkedDifferentialTest, ChunkLayoutNeverChangesResults) {
       EXPECT_GT(s.chunks_created, 0u)
           << "chunk_rows=" << e.chunk_rows << " never sealed a chunk";
     }
+  }
+  // SetUp pairs each (layout, planner) engine at 1 thread with its 4-thread
+  // twin; the twins agree on every deterministic counter.
+  for (size_t i = 0; i + 1 < engines_.size(); i += 2) {
+    SCOPED_TRACE("chunk_rows=" + std::to_string(engines_[i].chunk_rows) +
+                 " planner=" + std::to_string(engines_[i].planner));
+    ASSERT_EQ(engines_[i].threads, 1);
+    ASSERT_EQ(engines_[i + 1].threads, 4);
+    test_util::ExpectDeterministicCountersEqual(
+        engines_[i].db->PlanStatsTotals(),
+        engines_[i + 1].db->PlanStatsTotals());
   }
 }
 

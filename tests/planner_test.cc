@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "sql/printer.h"
 #include "storage/table.h"
 #include "test_util.h"
+#include "util/error.h"
+#include "util/query_guard.h"
 
 namespace joinboost {
 namespace {
@@ -337,6 +340,81 @@ TEST_F(PlannerExplainTest, ExplainAnalyzeGolden) {
             "(rows~5/8, act=5, cols=3/4)\n"
             "      Scan m [k1, c] (rows~3/3, act=3, cols=2/3)\n"
             "-- rules: pushed=1\n");
+}
+
+// EXPLAIN ANALYZE runs its statement exactly as a plain SELECT runs: its own
+// counters and those of its subqueries are merged alike, and the read
+// context's guard applies.
+TEST(ExplainAnalyzeTest, CountsLikeThePlainSelect) {
+  auto build = [] {
+    auto db = std::make_unique<Database>(EngineProfile::DSwap());
+    db->LoadTable(TableBuilder("t").AddInts("a", {1, 2, 3}).Build());
+    return db;
+  };
+  const struct {
+    const char* sql;
+    size_t planned;
+  } cases[] = {{"SELECT a FROM t", 1},
+               {"SELECT s.a FROM (SELECT a FROM t) AS s", 2}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sql);
+    auto explained = build();
+    explained->Query(std::string("EXPLAIN ANALYZE ") + c.sql);
+    auto plain = build();
+    plain->Query(c.sql);
+    plan::PlanStats e = explained->PlanStatsTotals();
+    EXPECT_EQ(e.scans, 1u);
+    EXPECT_EQ(e.queries_planned, c.planned);
+    test_util::ExpectDeterministicCountersEqual(e, plain->PlanStatsTotals());
+  }
+}
+
+TEST(ExplainAnalyzeTest, HonoursTheReadContextGuard) {
+  Database db(EngineProfile::DSwap());
+  db.LoadTable(TableBuilder("t").AddInts("a", {1, 2, 3}).Build());
+  sql::Statement stmt = sql::Parse("SELECT a FROM t");
+  util::QueryGuard guard;
+  guard.Cancel();
+  exec::ReadContext rctx;
+  rctx.guard = &guard;
+  EXPECT_THROW(db.ExplainAnalyzeSelect(rctx, *stmt.select), QueryAborted);
+  EXPECT_EQ(db.PlanStatsTotals().queries_cancelled, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The counter list: arithmetic and \stats cover every counter.
+// ---------------------------------------------------------------------------
+
+std::vector<size_t> CounterValues(const plan::PlanStats& s) {
+  std::vector<size_t> out;
+  s.ForEach([&out](const plan::CounterInfo&, size_t v) { out.push_back(v); });
+  return out;
+}
+
+TEST(PlanStatsTest, AddThenSubtractGivesBackEveryCounter) {
+  plan::PlanStats a, b;
+  size_t n = 0;
+  a.ForEach([&n](const plan::CounterInfo&, size_t& v) { v = 1000 + ++n; });
+  b.ForEach([&n](const plan::CounterInfo&, size_t& v) { v = 7 * ++n; });
+  plan::PlanStats sum = a;
+  sum += b;
+  EXPECT_EQ(CounterValues(sum - b), CounterValues(a));
+  EXPECT_NE(CounterValues(sum), CounterValues(a));
+}
+
+TEST(PlanStatsTest, FormatStatsPrintsOneNameValueLinePerCounter) {
+  plan::PlanStats s;
+  size_t n = 0;
+  s.ForEach([&n](const plan::CounterInfo&, size_t& v) { v = ++n; });
+  std::istringstream lines(plan::FormatStats(s));
+  std::string name;
+  size_t value = 0;
+  s.ForEach([&](const plan::CounterInfo& c, size_t v) {
+    ASSERT_TRUE(lines >> name >> value) << c.name;
+    EXPECT_EQ(name, c.name);
+    EXPECT_EQ(value, v);
+  });
+  EXPECT_FALSE(lines >> name) << "extra line: " << name;
 }
 
 // ---------------------------------------------------------------------------

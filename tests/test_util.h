@@ -145,5 +145,21 @@ inline data::FavoritaConfig TinyFavorita() {
   return config;
 }
 
+/// Asserts that every counter JB_PLAN_COUNTERS marks deterministic is
+/// equal in `a` and `b`: two runs of one query stream, e.g. at 1 and at 4
+/// exec_threads.
+inline void ExpectDeterministicCountersEqual(const plan::PlanStats& a,
+                                             const plan::PlanStats& b) {
+  std::vector<size_t> b_values;
+  b.ForEach([&](const plan::CounterInfo&, size_t v) { b_values.push_back(v); });
+  size_t i = 0;
+  a.ForEach([&](const plan::CounterInfo& c, size_t v) {
+    if (c.deterministic) {
+      EXPECT_EQ(v, b_values[i]) << c.name;
+    }
+    ++i;
+  });
+}
+
 }  // namespace test_util
 }  // namespace joinboost
