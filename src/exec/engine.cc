@@ -678,14 +678,26 @@ size_t Database::ExecuteUpdate(const sql::Statement& stmt) {
   JB_CHECK_MSG(!table->dataframe() || profile_.allow_column_swap,
                "dataframe tables are updated via column swap");
 
+  plan::PlanStats local;
   OpContext octx;
   octx.row_mode = !profile_.columnar_exec;
   octx.threads = 1;
   octx.pool = nullptr;
+  octx.stats = &local;
   EvalContext ectx;
   ectx.run_subquery = [this](const sql::SelectStmt& sub) {
     return Query(ReadContext{}, sub);
   };
+  // Like RunQuery, merge the counters however the update ends, so the scan
+  // that decodes the table is counted even when nothing is touched.
+  struct MergeStats {
+    Database* db;
+    const plan::PlanStats& s;
+    ~MergeStats() {
+      std::lock_guard<std::mutex> lock(db->stats_mu_);
+      db->plan_stats_ += s;
+    }
+  } merge{this, local};
 
   // Decompress (cost) to evaluate and write.
   ExecTable view = ScanTable(*table, stmt.table, octx);
@@ -839,11 +851,8 @@ size_t Database::ExecuteUpdate(const sql::Statement& stmt) {
     }
   }
   catalog_.Register(updated);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    plan_stats_.chunks_rewritten += chunks_rewritten;
-    plan_stats_.chunks_created += chunks_created;
-  }
+  local.chunks_rewritten += chunks_rewritten;
+  local.chunks_created += chunks_created;
   return touched.size();
 }
 

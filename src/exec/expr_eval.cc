@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <type_traits>
 
 #include "util/hash.h"
 
@@ -12,14 +14,12 @@ namespace exec {
 
 namespace {
 
-bool IsNumericBinary(const std::string& op) {
-  return op == "+" || op == "-" || op == "*" || op == "/" || op == "%";
-}
-
 bool IsComparison(const std::string& op) {
   return op == "=" || op == "<>" || op == "<" || op == "<=" || op == ">" ||
          op == ">=";
 }
+
+bool Truthy(int64_t c) { return c != 0 && c != kNullInt64; }
 
 double NullSafeToDouble(const VectorData& v, size_t i) {
   if (v.type == TypeId::kFloat64) return (*v.dbls)[i];
@@ -28,52 +28,122 @@ double NullSafeToDouble(const VectorData& v, size_t i) {
   return static_cast<double>(x);
 }
 
+// ---- Per-row kernels with operator and type dispatch hoisted out ----
+//
+// Each With* helper inspects the operator or the operand type once and calls
+// `fn` with a compile-time tag, so the loop `fn` instantiates is branch-free
+// on both. Every row is computed by the same scalar operation as before.
+
+enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
+enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
+
+template <ArithOp kOp>
+using ArithTag = std::integral_constant<ArithOp, kOp>;
+template <CmpOp kOp>
+using CmpTag = std::integral_constant<CmpOp, kOp>;
+
+template <typename Fn>
+auto WithArithOp(const std::string& op, Fn&& fn) {
+  if (op == "+") return fn(ArithTag<ArithOp::kAdd>{});
+  if (op == "-") return fn(ArithTag<ArithOp::kSub>{});
+  if (op == "*") return fn(ArithTag<ArithOp::kMul>{});
+  if (op == "/") return fn(ArithTag<ArithOp::kDiv>{});
+  if (op == "%") return fn(ArithTag<ArithOp::kMod>{});
+  JB_THROW("unknown binary operator " << op);
+}
+
+template <typename Fn>
+auto WithCmpOp(const std::string& op, Fn&& fn) {
+  if (op == "=") return fn(CmpTag<CmpOp::kEq>{});
+  if (op == "<>") return fn(CmpTag<CmpOp::kNe>{});
+  if (op == "<") return fn(CmpTag<CmpOp::kLt>{});
+  if (op == "<=") return fn(CmpTag<CmpOp::kLe>{});
+  if (op == ">") return fn(CmpTag<CmpOp::kGt>{});
+  return fn(CmpTag<CmpOp::kGe>{});
+}
+
+template <CmpOp kOp, typename T>
+bool Compare(T x, T y) {
+  if constexpr (kOp == CmpOp::kEq) return x == y;
+  if constexpr (kOp == CmpOp::kNe) return x != y;
+  if constexpr (kOp == CmpOp::kLt) return x < y;
+  if constexpr (kOp == CmpOp::kLe) return x <= y;
+  if constexpr (kOp == CmpOp::kGt) return x > y;
+  if constexpr (kOp == CmpOp::kGe) return x >= y;
+}
+
+/// Reads row i of a numeric vector as double (an int64 NULL reads as the
+/// double NULL), with the vector's type fixed at compile time.
+struct DoubleAt {
+  const double* p;
+  double operator()(size_t i) const { return p[i]; }
+};
+struct IntAsDoubleAt {
+  const int64_t* p;
+  double operator()(size_t i) const {
+    return p[i] == kNullInt64 ? NullFloat64() : static_cast<double>(p[i]);
+  }
+};
+
+template <typename Fn>
+auto WithDoubleReader(const VectorData& v, Fn&& fn) {
+  if (v.type == TypeId::kFloat64) {
+    return fn(DoubleAt{v.dbls ? v.dbls->data() : nullptr});
+  }
+  return fn(IntAsDoubleAt{v.ints ? v.ints->data() : nullptr});
+}
+
 VectorData EvalNumericBinary(const std::string& op, const VectorData& l,
                              const VectorData& r, size_t rows) {
   bool as_double = l.type == TypeId::kFloat64 || r.type == TypeId::kFloat64 ||
                    op == "/";
   if (!as_double) {
-    const auto& a = l.Ints();
-    const auto& b = r.Ints();
+    const int64_t* a = l.Ints().data();
+    const int64_t* b = r.Ints().data();
     std::vector<int64_t> out(rows);
-    for (size_t i = 0; i < rows; ++i) {
-      int64_t x = a[i], y = b[i];
-      if (x == kNullInt64 || y == kNullInt64) {
-        out[i] = kNullInt64;
-        continue;
+    WithArithOp(op, [&](auto tag) {
+      constexpr ArithOp kOp = decltype(tag)::value;
+      for (size_t i = 0; i < rows; ++i) {
+        int64_t x = a[i], y = b[i];
+        if (x == kNullInt64 || y == kNullInt64) {
+          out[i] = kNullInt64;
+        } else if constexpr (kOp == ArithOp::kAdd) {
+          out[i] = x + y;
+        } else if constexpr (kOp == ArithOp::kSub) {
+          out[i] = x - y;
+        } else if constexpr (kOp == ArithOp::kMul) {
+          out[i] = x * y;
+        } else if constexpr (kOp == ArithOp::kMod) {
+          out[i] = y == 0 ? kNullInt64 : x % y;
+        }  // kDiv always takes the double path
       }
-      if (op == "+") {
-        out[i] = x + y;
-      } else if (op == "-") {
-        out[i] = x - y;
-      } else if (op == "*") {
-        out[i] = x * y;
-      } else {  // "%"
-        out[i] = y == 0 ? kNullInt64 : x % y;
-      }
-    }
+    });
     return VectorData::FromInts(std::move(out));
   }
   std::vector<double> out(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    double x = NullSafeToDouble(l, i);
-    double y = NullSafeToDouble(r, i);
-    if (IsNullFloat64(x) || IsNullFloat64(y)) {
-      out[i] = NullFloat64();
-      continue;
-    }
-    if (op == "+") {
-      out[i] = x + y;
-    } else if (op == "-") {
-      out[i] = x - y;
-    } else if (op == "*") {
-      out[i] = x * y;
-    } else if (op == "/") {
-      out[i] = y == 0.0 ? NullFloat64() : x / y;
-    } else {  // "%"
-      out[i] = std::fmod(x, y);
-    }
-  }
+  WithDoubleReader(l, [&](auto a) {
+    WithDoubleReader(r, [&](auto b) {
+      WithArithOp(op, [&](auto tag) {
+        constexpr ArithOp kOp = decltype(tag)::value;
+        for (size_t i = 0; i < rows; ++i) {
+          double x = a(i), y = b(i);
+          if (IsNullFloat64(x) || IsNullFloat64(y)) {
+            out[i] = NullFloat64();
+          } else if constexpr (kOp == ArithOp::kAdd) {
+            out[i] = x + y;
+          } else if constexpr (kOp == ArithOp::kSub) {
+            out[i] = x - y;
+          } else if constexpr (kOp == ArithOp::kMul) {
+            out[i] = x * y;
+          } else if constexpr (kOp == ArithOp::kDiv) {
+            out[i] = y == 0.0 ? NullFloat64() : x / y;
+          } else {
+            out[i] = std::fmod(x, y);
+          }
+        }
+      });
+    });
+  });
   return VectorData::FromDoubles(std::move(out));
 }
 
@@ -83,41 +153,57 @@ VectorData EvalComparison(const std::string& op, const VectorData& l,
   bool string_cmp = l.type == TypeId::kString && r.type == TypeId::kString;
   if (string_cmp && l.dict && r.dict && l.dict != r.dict) {
     // Different dictionaries: compare decoded strings (slow path).
-    for (size_t i = 0; i < rows; ++i) {
-      int64_t a = (*l.ints)[i];
-      int64_t b = (*r.ints)[i];
-      if (a == kNullInt64 || b == kNullInt64) {
-        out[i] = 0;
-        continue;
+    const auto& a = l.Ints();
+    const auto& b = r.Ints();
+    WithCmpOp(op, [&](auto tag) {
+      constexpr CmpOp kOp = decltype(tag)::value;
+      for (size_t i = 0; i < rows; ++i) {
+        if (a[i] == kNullInt64 || b[i] == kNullInt64) {
+          out[i] = 0;
+          continue;
+        }
+        int c = l.dict->At(a[i]).compare(r.dict->At(b[i]));
+        out[i] = Compare<kOp>(c, 0) ? 1 : 0;
       }
-      int c = l.dict->At(a).compare(r.dict->At(b));
-      bool res = false;
-      if (op == "=") res = c == 0;
-      else if (op == "<>") res = c != 0;
-      else if (op == "<") res = c < 0;
-      else if (op == "<=") res = c <= 0;
-      else if (op == ">") res = c > 0;
-      else res = c >= 0;
-      out[i] = res ? 1 : 0;
-    }
+    });
     return VectorData::FromInts(std::move(out));
   }
   // Numeric / same-dict code comparison.
-  for (size_t i = 0; i < rows; ++i) {
-    double x = NullSafeToDouble(l, i);
-    double y = NullSafeToDouble(r, i);
-    if (IsNullFloat64(x) || IsNullFloat64(y)) {
-      out[i] = 0;
-      continue;
+  WithDoubleReader(l, [&](auto a) {
+    WithDoubleReader(r, [&](auto b) {
+      WithCmpOp(op, [&](auto tag) {
+        constexpr CmpOp kOp = decltype(tag)::value;
+        for (size_t i = 0; i < rows; ++i) {
+          double x = a(i), y = b(i);
+          out[i] = !IsNullFloat64(x) && !IsNullFloat64(y) && Compare<kOp>(x, y)
+                       ? 1
+                       : 0;
+        }
+      });
+    });
+  });
+  return VectorData::FromInts(std::move(out));
+}
+
+/// IN membership per row: `found != negated`. A NULL int probe is never
+/// found; float probes match on their bit pattern.
+VectorData ProbeValueSet(const VectorData& probe, const hash::ValueSet& set,
+                         bool as_double, bool negated, size_t rows) {
+  std::vector<int64_t> out(rows);
+  if (as_double) {
+    const auto& d = probe.Dbls();
+    for (size_t i = 0; i < rows; ++i) {
+      int64_t bits;
+      std::memcpy(&bits, &d[i], 8);
+      out[i] = set.Contains(static_cast<uint64_t>(bits)) != negated ? 1 : 0;
     }
-    bool res = false;
-    if (op == "=") res = x == y;
-    else if (op == "<>") res = x != y;
-    else if (op == "<") res = x < y;
-    else if (op == "<=") res = x <= y;
-    else if (op == ">") res = x > y;
-    else res = x >= y;
-    out[i] = res ? 1 : 0;
+  } else {
+    const auto& x = probe.Ints();
+    for (size_t i = 0; i < rows; ++i) {
+      bool found =
+          x[i] != kNullInt64 && set.Contains(static_cast<uint64_t>(x[i]));
+      out[i] = found != negated ? 1 : 0;
+    }
   }
   return VectorData::FromInts(std::move(out));
 }
@@ -162,6 +248,120 @@ bool IsLiteral(const sql::Expr& e) {
 
 VectorData EvalFunc(const sql::Expr& e, const ExecTable& input,
                     EvalContext& ctx);
+
+/// The column refs and overridden nodes `e` reads. Neither overridden nodes
+/// nor subquery bodies (which resolve against their own FROM) are entered.
+void CollectInputs(const sql::Expr& e, const EvalContext& ctx,
+                   std::vector<const sql::Expr*>* refs,
+                   std::vector<const sql::Expr*>* overridden) {
+  if (ctx.overrides.count(&e)) {
+    overridden->push_back(&e);
+    return;
+  }
+  if (e.kind == sql::ExprKind::kColumnRef) {
+    refs->push_back(&e);
+    return;
+  }
+  for (const auto& a : e.args) CollectInputs(*a, ctx, refs, overridden);
+}
+
+/// Evaluate `e` over only the rows `sel` (ascending) of `input`. The columns
+/// and overrides `e` reads are gathered to those rows; the subquery caches in
+/// `ctx` stay shared, so each subquery still runs once per statement.
+VectorData EvalOnRows(const sql::Expr& e, const ExecTable& input,
+                      const std::vector<uint32_t>& sel, EvalContext& ctx) {
+  if (sel.size() == input.rows) return EvalExpr(e, input, ctx);
+  std::vector<const sql::Expr*> refs, overridden;
+  CollectInputs(e, ctx, &refs, &overridden);
+  // Keeping the resolved columns in input order preserves first-match name
+  // resolution in the narrowed table.
+  std::vector<int> cols;
+  for (const auto* r : refs) {
+    int idx = input.Find(r->table, r->column);
+    if (idx >= 0) cols.push_back(idx);
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  ExecTable sub;
+  sub.rows = sel.size();
+  for (int c : cols) {
+    const ExecColumn& col = input.cols[static_cast<size_t>(c)];
+    sub.cols.push_back({col.qualifier, col.name, col.data.Gather(sel)});
+  }
+  std::unordered_map<const sql::Expr*, VectorData> overrides;
+  for (const auto* n : overridden) {
+    overrides.emplace(n, ctx.overrides.at(n).Gather(sel));
+  }
+  ctx.overrides.swap(overrides);
+  VectorData out;
+  try {
+    out = EvalExpr(e, sub, ctx);
+  } catch (...) {
+    ctx.overrides.swap(overrides);
+    throw;
+  }
+  ctx.overrides.swap(overrides);
+  return out;
+}
+
+/// CASE over a selection vector: WHEN_k runs only on the rows no earlier
+/// WHEN claimed, THEN_k only on the rows WHEN_k claims, and ELSE only on the
+/// rows left over; each result is scattered into one output vector. The
+/// trainer's leaf conditions partition the fact, so a residual update's
+/// THENs cost one pass over it in total instead of one per leaf. Every
+/// branch is evaluated, over zero rows if need be: that fixes the result
+/// type as a whole-input evaluation would, and runs each subquery once.
+VectorData EvalCase(const sql::Expr& e, const ExecTable& input,
+                    EvalContext& ctx) {
+  const size_t pairs = (e.args.size() - (e.has_else ? 1 : 0)) / 2;
+  std::vector<uint32_t> remaining(input.rows);
+  std::iota(remaining.begin(), remaining.end(), 0u);
+  // Each branch's rows and values; scattered once the result type is known.
+  std::vector<std::pair<std::vector<uint32_t>, VectorData>> parts;
+  parts.reserve(pairs + 1);
+  for (size_t p = 0; p < pairs; ++p) {
+    VectorData cond = EvalOnRows(*e.args[2 * p], input, remaining, ctx);
+    const auto& c = cond.Ints();
+    std::vector<uint32_t> matched;
+    matched.reserve(
+        static_cast<size_t>(std::count_if(c.begin(), c.end(), Truthy)));
+    size_t kept = 0;
+    for (size_t j = 0; j < remaining.size(); ++j) {
+      if (Truthy(c[j])) {
+        matched.push_back(remaining[j]);
+      } else {
+        remaining[kept++] = remaining[j];
+      }
+    }
+    remaining.resize(kept);
+    VectorData val = EvalOnRows(*e.args[2 * p + 1], input, matched, ctx);
+    parts.emplace_back(std::move(matched), std::move(val));
+  }
+  if (e.has_else) {
+    VectorData val = EvalOnRows(*e.args.back(), input, remaining, ctx);
+    parts.emplace_back(std::move(remaining), std::move(val));
+  }
+  // Result typed double if any branch is double, else int.
+  bool as_double = false;
+  for (const auto& part : parts) {
+    as_double |= part.second.type == TypeId::kFloat64;
+  }
+  if (as_double) {
+    std::vector<double> out(input.rows, NullFloat64());
+    for (const auto& [sel, v] : parts) {
+      WithDoubleReader(v, [&, &sel = sel](auto at) {
+        for (size_t j = 0; j < sel.size(); ++j) out[sel[j]] = at(j);
+      });
+    }
+    return VectorData::FromDoubles(std::move(out));
+  }
+  std::vector<int64_t> out(input.rows, kNullInt64);
+  for (const auto& [sel, v] : parts) {
+    const auto& x = v.Ints();
+    for (size_t j = 0; j < sel.size(); ++j) out[sel[j]] = x[j];
+  }
+  return VectorData::FromInts(std::move(out));
+}
 
 std::atomic<size_t> g_in_list_translations{0};
 
@@ -239,10 +439,14 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
         const auto& a = l.Ints();
         const auto& b = r.Ints();
         std::vector<int64_t> out(rows);
-        for (size_t i = 0; i < rows; ++i) {
-          bool x = a[i] != 0 && a[i] != kNullInt64;
-          bool y = b[i] != 0 && b[i] != kNullInt64;
-          out[i] = (op == "AND" ? (x && y) : (x || y)) ? 1 : 0;
+        if (op == "AND") {
+          for (size_t i = 0; i < rows; ++i) {
+            out[i] = Truthy(a[i]) && Truthy(b[i]) ? 1 : 0;
+          }
+        } else {
+          for (size_t i = 0; i < rows; ++i) {
+            out[i] = Truthy(a[i]) || Truthy(b[i]) ? 1 : 0;
+          }
         }
         return VectorData::FromInts(std::move(out));
       }
@@ -258,9 +462,8 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
         l = EvalExpr(*e.args[0], input, ctx);
         r = EvalExpr(*e.args[1], input, ctx);
       }
-      if (IsNumericBinary(op)) return EvalNumericBinary(op, l, r, rows);
       if (IsComparison(op)) return EvalComparison(op, l, r, rows);
-      JB_THROW("unknown binary operator " << op);
+      return EvalNumericBinary(op, l, r, rows);
     }
     case sql::ExprKind::kUnary: {
       VectorData v = EvalExpr(*e.args[0], input, ctx);
@@ -288,49 +491,8 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
     }
     case sql::ExprKind::kFuncCall:
       return EvalFunc(e, input, ctx);
-    case sql::ExprKind::kCase: {
-      size_t pairs = (e.args.size() - (e.has_else ? 1 : 0)) / 2;
-      std::vector<VectorData> conds(pairs), vals(pairs);
-      for (size_t p = 0; p < pairs; ++p) {
-        conds[p] = EvalExpr(*e.args[2 * p], input, ctx);
-        vals[p] = EvalExpr(*e.args[2 * p + 1], input, ctx);
-      }
-      VectorData else_val;
-      if (e.has_else) else_val = EvalExpr(*e.args.back(), input, ctx);
-      // Result typed double if any branch is double, else int.
-      bool as_double = e.has_else && else_val.type == TypeId::kFloat64;
-      for (const auto& v : vals) as_double |= v.type == TypeId::kFloat64;
-      if (as_double) {
-        std::vector<double> out(rows, NullFloat64());
-        for (size_t i = 0; i < rows; ++i) {
-          bool matched = false;
-          for (size_t p = 0; p < pairs; ++p) {
-            int64_t c = conds[p].Ints()[i];
-            if (c != 0 && c != kNullInt64) {
-              out[i] = NullSafeToDouble(vals[p], i);
-              matched = true;
-              break;
-            }
-          }
-          if (!matched && e.has_else) out[i] = NullSafeToDouble(else_val, i);
-        }
-        return VectorData::FromDoubles(std::move(out));
-      }
-      std::vector<int64_t> out(rows, kNullInt64);
-      for (size_t i = 0; i < rows; ++i) {
-        bool matched = false;
-        for (size_t p = 0; p < pairs; ++p) {
-          int64_t c = conds[p].Ints()[i];
-          if (c != 0 && c != kNullInt64) {
-            out[i] = vals[p].Ints()[i];
-            matched = true;
-            break;
-          }
-        }
-        if (!matched && e.has_else) out[i] = else_val.Ints()[i];
-      }
-      return VectorData::FromInts(std::move(out));
-    }
+    case sql::ExprKind::kCase:
+      return EvalCase(e, input, ctx);
     case sql::ExprKind::kInSubquery: {
       if (e.args.empty()) {
         // Scalar subquery: run once per context, broadcast the value.
@@ -375,44 +537,15 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
         ctx.in_sets.emplace(&e, set);
       }
       VectorData probe = EvalExpr(*e.args[0], input, ctx);
-      std::vector<int64_t> out(rows);
-      for (size_t i = 0; i < rows; ++i) {
-        bool found;
-        if (probe.type == TypeId::kFloat64) {
-          double d = (*probe.dbls)[i];
-          int64_t bits;
-          std::memcpy(&bits, &d, 8);
-          found = set->Contains(static_cast<uint64_t>(bits));
-        } else {
-          int64_t x = (*probe.ints)[i];
-          found = x != kNullInt64 && set->Contains(static_cast<uint64_t>(x));
-        }
-        out[i] = (found != e.negated) ? 1 : 0;
-      }
-      return VectorData::FromInts(std::move(out));
+      return ProbeValueSet(probe, *set, probe.type == TypeId::kFloat64,
+                           e.negated, rows);
     }
     case sql::ExprKind::kInList: {
       VectorData probe = EvalExpr(*e.args[0], input, ctx);
       const InListSet& ls = GetOrBuildInListSet(
           e, probe.type,
           probe.type == TypeId::kString ? probe.dict.get() : nullptr, ctx);
-      const bool as_double = ls.as_double;
-      const std::shared_ptr<const hash::ValueSet>& set = ls.set;
-      std::vector<int64_t> out(rows);
-      for (size_t i = 0; i < rows; ++i) {
-        bool found;
-        if (as_double) {
-          double d = (*probe.dbls)[i];
-          int64_t bits;
-          std::memcpy(&bits, &d, 8);
-          found = set->Contains(static_cast<uint64_t>(bits));
-        } else {
-          int64_t x = (*probe.ints)[i];
-          found = x != kNullInt64 && set->Contains(static_cast<uint64_t>(x));
-        }
-        out[i] = (found != e.negated) ? 1 : 0;
-      }
-      return VectorData::FromInts(std::move(out));
+      return ProbeValueSet(probe, *ls.set, ls.as_double, e.negated, rows);
     }
     case sql::ExprKind::kIsNull: {
       VectorData v = EvalExpr(*e.args[0], input, ctx);
@@ -674,7 +807,7 @@ std::vector<uint32_t> EvalPredicate(const sql::Expr& e, const ExecTable& input,
   const auto& a = v.Ints();
   out.reserve(input.rows / 4);
   for (size_t i = 0; i < input.rows; ++i) {
-    if (a[i] != 0 && a[i] != kNullInt64) out.push_back(static_cast<uint32_t>(i));
+    if (Truthy(a[i])) out.push_back(static_cast<uint32_t>(i));
   }
   return out;
 }

@@ -173,7 +173,7 @@ struct KeyBuilder {
       }
       case sql::ExprKind::kInSubquery: {
         os << "insub" << (e.negated ? "!" : "") << "(";
-        Expr(*e.args[0], scope);
+        if (!e.args.empty()) Expr(*e.args[0], scope);  // empty: scalar subquery
         os << ";";
         Select(*e.subquery);
         os << ")";

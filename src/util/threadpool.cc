@@ -117,7 +117,15 @@ ThreadPool::ParallelForStats ThreadPool::ParallelFor(
   drain(/*helper=*/false);
   while (sh->done.load() < n) std::this_thread::yield();
   stats.helper_items = sh->helper_items.load();
-  if (sh->error) std::rethrow_exception(sh->error);
+  // Take the error out of the shared state under its lock: a helper that
+  // drops the last reference to `sh` then destroys an empty exception_ptr
+  // and never releases the exception the caller is rethrowing.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lk(sh->err_mu);
+    error = std::move(sh->error);
+  }
+  if (error) std::rethrow_exception(error);
   return stats;
 }
 

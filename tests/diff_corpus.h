@@ -159,11 +159,28 @@ inline GenQuery GenerateQuery(uint64_t seed) {
   // Value expressions available under this join shape.
   std::vector<std::string> exprs = {
       "fact.x0", "fact.y", "fact.k1", "fact.k2", "(fact.x0 + fact.y)",
-      "(fact.x0 * 2 + 1)", "(fact.y - fact.x0)"};
+      "(fact.x0 * 2 + 1)", "(fact.y - fact.x0)",
+      // CASE shapes (selection-vector evaluation): overlapping WHENs, no
+      // ELSE, int-only, mixed int/double, nested, an IN-subquery WHEN.
+      "(CASE WHEN fact.x0 > 6 THEN fact.y WHEN fact.x0 > 3 THEN fact.x0 * 2 "
+      "ELSE fact.y - fact.x0 END)",
+      "(CASE WHEN fact.k1 < 10 THEN fact.y END)",
+      "(CASE WHEN fact.k2 = 3 THEN fact.k1 WHEN fact.k2 > 5 THEN fact.k2 * 2 "
+      "ELSE 0 END)",
+      "(CASE WHEN fact.k1 > 15 THEN fact.k1 ELSE fact.x0 END)",
+      "(CASE WHEN fact.x0 < 5 THEN CASE WHEN fact.k2 < 4 THEN fact.y "
+      "ELSE fact.k2 END ELSE fact.k1 END)",
+      "(CASE WHEN fact.k1 IN (SELECT d1.k1 FROM d1 WHERE d1.f1 > 500) "
+      "THEN fact.y ELSE fact.x0 END)"};
   if (d1_cols) {
     exprs.push_back("d1.f1");
     exprs.push_back("(fact.y * d1.f1)");
     exprs.push_back("(d1.f1 / 100)");
+    // Under a LEFT JOIN d1.f1 is NULL on null-extended rows: the WHEN then
+    // matches nothing and those rows fall through.
+    exprs.push_back(
+        "(CASE WHEN d1.f1 > 500 THEN d1.f1 WHEN fact.k1 < 5 THEN fact.y "
+        "ELSE 1.5 END)");
   }
   if (has_d2) {
     exprs.push_back("d2.f2");

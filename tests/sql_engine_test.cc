@@ -115,6 +115,23 @@ TEST_F(SqlEngineTest, UpdateWithWhere) {
   EXPECT_DOUBLE_EQ(sum, 8 + 20);
 }
 
+TEST(SqlEngineStatsTest, UpdateCountsTheScanThatDecodesTheTable) {
+  // The scan an UPDATE runs to evaluate its SET items decodes the table's
+  // columns; it must show up in the counters like any query's scan.
+  Database db(EngineProfile::DSwap());
+  std::vector<int64_t> b(1000);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<int64_t>(i % 7);
+  db.LoadTable(TableBuilder("r").AddInts("b", b).Build());
+  ASSERT_TRUE(db.catalog().Get("r")->column(0)->encoded());
+  db.ClearPlanStats();
+  EXPECT_EQ(db.Execute("UPDATE r SET b = b + 1").affected, b.size());
+  plan::PlanStats s = db.PlanStatsTotals();
+  EXPECT_EQ(s.scans, 1u);
+  EXPECT_EQ(s.rows_scan_input, b.size());
+  EXPECT_GT(s.cols_decompressed, 0u);
+  EXPECT_EQ(s.chunks_rewritten, 1u);
+}
+
 TEST_F(SqlEngineTest, OrderByDescLimit) {
   auto res = db_->Query("SELECT a, b FROM r ORDER BY b DESC LIMIT 2");
   ASSERT_EQ(res->rows, 2u);
